@@ -17,14 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import PlannerError
-from .model import (PlanningConfig, PlanningMode, build_collision_tolerant,
-                    with_effort_objective)
+from .model import (STRICT_MARGIN, PlanningConfig, PlanningMode,
+                    build_collision_tolerant, with_effort_objective)
 from .solver import LpStatus, SolverOptions, _Dense, _solve_dense
 
 REPLAY_TOL = 1e-6
 
 #: The damage assignment carries a strict-inequality slack of this size.
-STRICT_SLACK = 1e-6
+STRICT_SLACK = STRICT_MARGIN
 
 _FAMILIES = ("saturation", "wall_indicator", "collision_law", "damage", "boundary")
 

@@ -7,11 +7,16 @@ bounds (or at zero when free).  Pivot selection defaults to the
 most-negative reduced cost; after a configurable run of degenerate pivots
 the solver switches to Bland's rule, which guarantees termination.
 
+All tableau arithmetic (pricing refreshes, row activities and the rank-1
+pivot update) goes through scipy's BLAS, so a solve wakes one BLAS thread
+pool only.  A pivot updates only the columns where the pivot row is
+nonzero, in gathered blocks of at most ``_UPDATE_BLOCK`` columns.
+
 The MILP path is depth-first branch and bound over binary variables with
-eager child relaxations, interval-arithmetic bound tightening at node
+lazy child relaxations, interval-arithmetic bound tightening at node
 creation, and a rounding pass that re-verifies near-integral relaxation
 points before accepting them as incumbents.  Branching always targets the
-lowest-index fractional binary and explores its zero branch first.
+lowest-index fractional binary and explores its one branch first.
 
 Problems and solutions are immutable value objects, and each solve works on
 its own arrays, so independent solves may safely run concurrently.
@@ -26,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemv, dger
 
 from .errors import NumericalError, ProblemError, UnboundedProblemError
 
@@ -98,6 +103,8 @@ class LpProblem:
         for j, (lo, hi) in enumerate(self.var_bounds):
             if math.isnan(lo) or math.isnan(hi):
                 raise ProblemError(f"bounds of x{j} contain NaN")
+            if lo == _INF or hi == -_INF:
+                raise ProblemError(f"bounds of x{j} admit no finite value: [{lo}, {hi}]")
             if lo > hi:
                 raise ProblemError(f"bounds of x{j} are inverted: [{lo}, {hi}]")
         for i, row in enumerate(self.constraints):
@@ -197,6 +204,33 @@ class _Dense:
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
+#: Widest block of columns the pivot update gathers at once; one gather of
+#: every nonzero column would copy up to the whole tableau.
+_UPDATE_BLOCK = 64
+
+
+def _matvec_t(M, v):
+    """``M.T @ v`` through scipy's BLAS; an F-ordered ``M`` is not copied."""
+    if M.size == 0:
+        return np.zeros(M.shape[1])
+    return dgemv(1.0, M, v, trans=1)
+
+
+def _rank1_update(T, col, row_nz, nz, block):
+    """``T[:, nz] -= outer(col, row_nz)`` for an F-ordered ``T``.
+
+    Runs BLAS ``dger`` on blocks of at most ``_UPDATE_BLOCK`` columns,
+    gathered into ``block``, a C-ordered ``(_UPDATE_BLOCK, m)`` scratch array
+    whose rows hold the columns.  Each column is updated with the same
+    arithmetic as one ``dger`` over the whole tableau.
+    """
+    for s in range(0, nz.size, _UPDATE_BLOCK):
+        cols = nz[s:s + _UPDATE_BLOCK]
+        gathered = block[:cols.size]
+        # The indices are valid; "clip" lets take write into ``out`` unbuffered.
+        np.take(T.T, cols, axis=0, out=gathered, mode="clip")
+        T[:, cols] = dger(-1.0, col, row_nz[s:s + _UPDATE_BLOCK], a=gathered.T, overwrite_a=1)
+
 
 def _simplex(dense: _Dense, lo, hi, cost, opts: SolverOptions, force_bland=False):
     """Two-phase bounded simplex. Returns (status, x, objective, iterations)."""
@@ -209,7 +243,7 @@ def _simplex(dense: _Dense, lo, hi, cost, opts: SolverOptions, force_bland=False
 
     # Initial nonbasic point: finite lower bound, else finite upper, else 0.
     x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    resid = rhs - A @ x0 if m else np.zeros(0)
+    resid = rhs - _matvec_t(A.T, x0)
 
     beta = np.clip(resid, slack_lo, slack_hi)
     needs_art = np.abs(resid - beta) > 1e-30
@@ -220,8 +254,8 @@ def _simplex(dense: _Dense, lo, hi, cost, opts: SolverOptions, force_bland=False
     LO = np.concatenate([lo, slack_lo, np.zeros(n_art)])
     HI = np.concatenate([hi, slack_hi, np.full(n_art, _INF)])
 
-    # Fortran order: contiguous columns for the ratio test and a single-pass
-    # BLAS rank-1 pivot update.
+    # Fortran order: contiguous columns for the ratio test and the BLAS
+    # rank-1 pivot update.
     T = np.zeros((m, W), order="F")
     T[:, :n] = A
     T[np.arange(m), n + np.arange(m)] = 1.0
@@ -290,7 +324,7 @@ def _evict_artificials(T, xB, basis, status, LO, HI, n, m, opts):
         row[status[:art_start] == _BASIC] = 0.0
         q = int(np.argmax(row))
         if row[q] > 10 * opts.pivot_tol:
-            _pivot_in_place(T, xB, basis, status, LO, HI, r, q, None)
+            _pivot_in_place(T, xB, basis, status, LO, HI, r, q)
         else:
             # Redundant row: the artificial stays basic at zero and must
             # never block a ratio test.
@@ -301,16 +335,17 @@ def _evict_artificials(T, xB, basis, status, LO, HI, n, m, opts):
     status[nonbasic_art] = _AT_LOWER
 
 
-def _pivot_in_place(T, xB, basis, status, LO, HI, r, q, z):
+def _pivot_in_place(T, xB, basis, status, LO, HI, r, q):
     """Degenerate pivot (step length zero) used for artificial eviction."""
     enter_val = 0.0 if status[q] == _FREE else (HI[q] if status[q] == _AT_UPPER else LO[q])
     piv = T[r, q]
     T[r, :] /= piv
     col = T[:, q].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r, :])
-    if z is not None:
-        z -= z[q] * T[r, :]
+    # As in the main pivot, only the pivot row's nonzero columns change; this
+    # also keeps the temporary outer product off the full tableau.
+    nz = np.flatnonzero(T[r, :])
+    T[:, nz] -= np.outer(col, T[r, nz])
     status[basis[r]] = _AT_LOWER
     basis[r] = q
     status[q] = _BASIC
@@ -320,15 +355,31 @@ def _pivot_in_place(T, xB, basis, status, LO, HI, r, q, z):
 def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
     """Run the simplex loop for one objective. Returns (outcome, iterations)."""
     m, W = T.shape
+    if W == 0:
+        return "optimal", 0
     ptol = opts.pivot_tol
-    dtol = ptol * (1.0 + float(np.abs(cost).max()) if W else 1.0)
+    dtol = ptol * (1.0 + float(np.abs(cost).max()))
     degen_eps = 1e-11
     stall_threshold = 2 * (m + W)
     max_iters = 200 * (m + W) + 2000
     col = np.empty(m)
-    use_blas = m > 0 and T.flags.f_contiguous
+    d = np.empty(m)
+    abs_d = np.empty(m)
+    ratio_buf = np.empty(m)
+    score = np.empty(W)
+    block = np.empty((_UPDATE_BLOCK, m))
 
-    z = cost - cost[basis] @ T if m else cost.copy()
+    # Pricing direction of each nonbasic column: +1 may rise from its lower
+    # bound, -1 may fall from its upper bound, 0 is basic or fixed.  LO and
+    # HI do not change within a phase, so only pivots and bound flips touch
+    # it.  Free nonbasics may move either way and are priced on -|z|.
+    movable = LO < HI
+    direction = np.zeros(W)
+    direction[(status == _AT_LOWER) & movable] = 1.0
+    direction[(status == _AT_UPPER) & movable] = -1.0
+    free = np.flatnonzero(status == _FREE)
+
+    z = cost - _matvec_t(T, cost[basis])
     iters = 0
     degen_run = 0
     refresh = 0
@@ -337,45 +388,46 @@ def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
     while True:
         if iters >= max_iters:
             raise NumericalError(f"simplex iteration limit hit ({max_iters})")
-        movable = LO < HI
-        cand_low = (status == _AT_LOWER) & movable & (z < -dtol)
-        cand_up = (status == _AT_UPPER) & movable & (z > dtol)
-        cand_free = (status == _FREE) & (np.abs(z) > dtol)
-        any_cand = cand_low | cand_up | cand_free
-        if not any_cand.any():
-            return "optimal", iters
-
+        # The candidates to enter are exactly the columns scoring below -dtol.
+        np.multiply(direction, z, out=score)
+        if free.size:
+            score[free] = -np.abs(z[free])
         if bland:
-            q = int(np.flatnonzero(any_cand)[0])
+            cand = np.flatnonzero(score < -dtol)
+            if cand.size == 0:
+                return "optimal", iters
+            q = int(cand[0])
         else:
-            score = np.full(W, _INF)
-            score[cand_low] = z[cand_low]
-            score[cand_up] = -z[cand_up]
-            score[cand_free] = -np.abs(z[cand_free])
             q = int(np.argmin(score))
+            if not score[q] < -dtol:
+                return "optimal", iters
 
-        delta = 1.0 if (status[q] == _AT_LOWER or (status[q] == _FREE and z[q] < 0)) else -1.0
-        d = delta * T[:, q] if m else np.zeros(0)
+        q_free = status[q] == _FREE
+        delta = 1.0 if (status[q] == _AT_LOWER or (q_free and z[q] < 0)) else -1.0
+        np.multiply(T[:, q], delta, out=d)
 
-        if m:
-            lob = LO[basis]
-            hib = HI[basis]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratios = np.where(
-                    d > ptol,
-                    (xB - lob) / d,
-                    np.where(d < -ptol, (xB - hib) / d, _INF),
-                )
-            ratios = np.maximum(
-                np.nan_to_num(ratios, nan=_INF, posinf=_INF, neginf=0.0), 0.0)
+        # Only rows with |d| > ptol can block.  There the division is by a
+        # nonzero, and an infinite bound (LO < inf and HI > -inf always)
+        # yields +inf, so finite xB gives no NaN and no -inf.
+        np.abs(d, out=abs_d)
+        rows = np.flatnonzero(abs_d > ptol)
+        if rows.size:
+            d_rows = d[rows]
+            b_rows = basis[rows]
+            limit = LO[b_rows]
+            falling = d_rows < 0
+            limit[falling] = HI[b_rows[falling]]
+            ratios = ratio_buf[:rows.size]
+            np.subtract(xB[rows], limit, out=ratios)
+            np.divide(ratios, d_rows, out=ratios)
+            np.maximum(ratios, 0.0, out=ratios)
             rmin = float(ratios.min())
         else:
-            ratios = np.zeros(0)
             rmin = _INF
 
         t_flip = HI[q] - LO[q]
         tstar = min(rmin, t_flip)
-        if not np.isfinite(tstar):
+        if not math.isfinite(tstar):
             return "unbounded", iters
 
         iters += 1
@@ -389,41 +441,47 @@ def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
 
         if t_flip <= rmin:
             # Bound flip: the entering variable crosses to its other bound.
-            if m:
-                xB -= tstar * d
+            xB -= tstar * d
             status[q] = _AT_UPPER if status[q] == _AT_LOWER else _AT_LOWER
+            direction[q] = -direction[q]
             continue
 
-        tie = ratios <= rmin + 1e-9 * (1.0 + rmin)
-        tie_rows = np.flatnonzero(tie)
+        tie_rows = rows[ratios <= rmin + 1e-9 * (1.0 + rmin)]
         if bland:
             r = int(tie_rows[np.argmin(basis[tie_rows])])
         else:
-            r = int(tie_rows[np.argmax(np.abs(T[tie_rows, q]))])
+            r = int(tie_rows[np.argmax(abs_d[tie_rows])])
 
-        enter_val = 0.0 if status[q] == _FREE else (HI[q] if status[q] == _AT_UPPER else LO[q])
+        enter_val = 0.0 if q_free else (HI[q] if status[q] == _AT_UPPER else LO[q])
         enter_val += delta * tstar
         leaving = basis[r]
-        status[leaving] = _AT_LOWER if d[r] > 0 else _AT_UPPER
+        rising = d[r] > 0
+        status[leaving] = _AT_LOWER if rising else _AT_UPPER
+        if movable[leaving]:
+            direction[leaving] = 1.0 if rising else -1.0
         xB -= tstar * d
-        piv = T[r, q]
-        T[r, :] /= piv
+
+        # Only columns where the pivot row is nonzero change; elsewhere the
+        # full update would only flip the sign of zeros.
+        pivot_row = T[r, :]
+        nz = np.flatnonzero(pivot_row)
+        row_nz = pivot_row[nz] / T[r, q]
+        pivot_row[nz] = row_nz
         np.copyto(col, T[:, q])
         col[r] = 0.0
-        pivot_row = T[r, :].copy()
-        if use_blas:
-            dger(-1.0, col, pivot_row, a=T, overwrite_a=1)
-        else:
-            T -= np.outer(col, pivot_row)
+        _rank1_update(T, col, row_nz, nz, block)
         zq = z[q]
-        z -= zq * pivot_row
+        z[nz] -= zq * row_nz
         basis[r] = q
         status[q] = _BASIC
+        direction[q] = 0.0
+        if q_free:
+            free = free[free != q]
         xB[r] = enter_val
 
         refresh += 1
         if refresh >= 256:
-            z = cost - cost[basis] @ T
+            z = cost - _matvec_t(T, cost[basis])
             refresh = 0
 
 
@@ -434,8 +492,7 @@ def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
 def _row_violation(dense: _Dense, x: np.ndarray) -> float:
     if dense.m == 0:
         return 0.0
-    act = dense.A @ x
-    over = act - dense.rhs
+    over = _matvec_t(dense.A.T, x) - dense.rhs
     viol = np.where(dense.sense == 0, over, np.where(dense.sense == 2, -over, np.abs(over)))
     return float(np.maximum(viol, 0.0).max())
 
@@ -572,7 +629,6 @@ class _Node:
     sort_key: tuple
     fixed: dict = field(compare=False)
     bound: float = field(compare=False)
-    values: Optional[np.ndarray] = field(compare=False, default=None)
 
 
 def _branch_and_bound(
@@ -653,14 +709,14 @@ def _branch_and_bound(
 
     # Children are pushed unsolved with the parent bound and only solved at
     # pop time, so dives do not pay for sibling relaxations they may never
-    # need.  Pop order: deepest first, zero branch first, better bound, FIFO.
+    # need.  Pop order: deepest first, one branch first, better bound, FIFO.
     heap: list[_Node] = []
     seq = 0
 
     def push(fixed, bound, depth, branch_val):
         nonlocal seq
         seq += 1
-        heapq.heappush(heap, _Node((-depth, branch_val, bound, seq), fixed, bound, None))
+        heapq.heappush(heap, _Node((-depth, branch_val, bound, seq), fixed, bound))
 
     push({}, -_INF, 0, 0)
     hit_node_limit = False

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg.blas import dger
+
 from ctplan import (EQ, GE, LE, LinearConstraint, LpProblem, LpStatus,
-                    ProblemError, SolverOptions, solve_lp)
+                    ProblemError, SolverOptions, build_collision_free, solve_lp)
+from ctplan.solver import _UPDATE_BLOCK, _rank1_update
 
 INF = math.inf
 
@@ -85,6 +88,11 @@ class TestValidation:
         with pytest.raises(ProblemError):
             solve_lp(lp(1, [1.0], [], [(2.0, 1.0)]))
 
+    @pytest.mark.parametrize("bounds", [(INF, INF), (-INF, -INF)])
+    def test_bounds_without_finite_value(self, bounds):
+        with pytest.raises(ProblemError):
+            solve_lp(lp(1, [1.0], [], [bounds]))
+
     def test_bad_sense(self):
         with pytest.raises(ProblemError):
             solve_lp(lp(1, [1.0], [([(0, 1.0)], "<", 1.0)], [(0.0, 1.0)]))
@@ -135,3 +143,27 @@ def test_matches_vertex_enumeration(box_lp_generator, vertex_oracle):
         else:
             assert sol.status == LpStatus.OPTIMAL
             assert sol.objective == pytest.approx(expected_obj, abs=1e-6)
+
+
+@pytest.mark.parametrize("tau, status, pivots", [
+    (52, LpStatus.OPTIMAL, 159), (51, LpStatus.INFEASIBLE, 152)])
+def test_paper_probe_pivot_counts(paper_config, tau, status, pivots):
+    # The horizon probes of the paper's collision-free plan.  Pivot counts
+    # are deterministic, so any drift in pivot selection shows here.
+    problem, _ = build_collision_free(paper_config, tau)
+    sol = solve_lp(problem)
+    assert (sol.status, sol.iterations) == (status, pivots)
+
+
+def test_blocked_sparse_update_matches_full_dger():
+    rng = np.random.default_rng(5)
+    m, w = 40, 5 * _UPDATE_BLOCK
+    T = np.asfortranarray(rng.standard_normal((m, w)))
+    col = rng.standard_normal(m)
+    nz = np.sort(rng.choice(w, size=2 * _UPDATE_BLOCK + 7, replace=False))
+    row = np.zeros(w)
+    row[nz] = rng.standard_normal(nz.size)
+    full = dger(-1.0, col, row, a=T.copy(order="F"), overwrite_a=1)
+    _rank1_update(T, col, row[nz], nz, np.empty((_UPDATE_BLOCK, m)))
+    assert T.flags.f_contiguous
+    assert np.array_equal(T.view(np.uint64), full.view(np.uint64))
