@@ -8,9 +8,11 @@ most-negative reduced cost; after a configurable run of degenerate pivots
 the solver switches to Bland's rule, which guarantees termination.
 
 All tableau arithmetic (pricing refreshes, row activities and the rank-1
-pivot update) goes through scipy's BLAS, so a solve wakes one BLAS thread
-pool only.  A pivot updates only the columns where the pivot row is
-nonzero, in gathered blocks of at most ``_UPDATE_BLOCK`` columns.
+pivot update) goes through scipy's BLAS, in calls small enough that
+OpenBLAS runs them on the calling thread: a solve wakes no BLAS thread
+pool, and its rounding does not depend on the core count.  A pivot updates
+only the columns where the pivot row is nonzero, in gathered blocks of at
+most ``_UPDATE_BLOCK`` columns.
 
 The MILP path is depth-first branch and bound over binary variables with
 lazy child relaxations, interval-arithmetic bound tightening at node
@@ -208,28 +210,61 @@ _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 #: every nonzero column would copy up to the whole tableau.
 _UPDATE_BLOCK = 64
 
+#: OpenBLAS keeps a ``dger`` or ``dgemv`` call on the calling thread when
+#: the matrix has at most this many cells (2048 times its
+#: GEMM_MULTITHREAD_THRESHOLD of 4) or at most four columns.  Past that a
+#: ``dger`` call, and a much larger ``dgemv`` one, splits the columns among
+#: worker threads: waking them costs tens of microseconds that vary from
+#: call to call, they then spin and compete with the solve for the cores,
+#: and where the split falls depends on the core count.  Tableau calls are
+#: cut into column blocks that stay on the calling thread.
+_SERIAL_CELLS = 8192
+
+
+def _serial_width(m):
+    """Columns per BLAS call on an ``m``-row matrix: a multiple of 4, and at
+    most ``_SERIAL_CELLS`` cells unless that leaves fewer than 4 columns.
+
+    OpenBLAS's ``dgemv`` kernel sums four columns at a time, so cutting at
+    multiples of 4 gives every dot product the rounding of one serial call.
+    """
+    return max(4, _SERIAL_CELLS // max(m, 1) // 4 * 4)
+
 
 def _matvec_t(M, v):
-    """``M.T @ v`` through scipy's BLAS; an F-ordered ``M`` is not copied."""
-    if M.size == 0:
-        return np.zeros(M.shape[1])
-    return dgemv(1.0, M, v, trans=1)
+    """``M.T @ v`` through scipy's BLAS, one serial call per column block;
+    an F-ordered ``M`` is not copied."""
+    rows, cols = M.shape
+    if rows == 0:
+        return np.zeros(cols)
+    out = np.empty(cols)
+    width = _serial_width(rows)
+    for s in range(0, cols, width):
+        out[s:s + width] = dgemv(1.0, M[:, s:s + width], v, trans=1)
+    return out
 
 
 def _rank1_update(T, col, row_nz, nz, block):
     """``T[:, nz] -= outer(col, row_nz)`` for an F-ordered ``T``.
 
-    Runs BLAS ``dger`` on blocks of at most ``_UPDATE_BLOCK`` columns,
-    gathered into ``block``, a C-ordered ``(_UPDATE_BLOCK, m)`` scratch array
-    whose rows hold the columns.  Each column is updated with the same
-    arithmetic as one ``dger`` over the whole tableau.
+    Gathers at most ``_UPDATE_BLOCK`` columns at a time into ``block``, a
+    C-ordered ``(_UPDATE_BLOCK, m)`` scratch array whose rows hold the
+    columns, and runs BLAS ``dger`` in place on ``_serial_width(m)`` of them
+    per call.  Each column is updated with the same arithmetic as one
+    ``dger`` over the whole tableau.
     """
+    width = _serial_width(T.shape[0])
     for s in range(0, nz.size, _UPDATE_BLOCK):
         cols = nz[s:s + _UPDATE_BLOCK]
-        gathered = block[:cols.size]
+        rows = block[:cols.size]
         # The indices are valid; "clip" lets take write into ``out`` unbuffered.
-        np.take(T.T, cols, axis=0, out=gathered, mode="clip")
-        T[:, cols] = dger(-1.0, col, row_nz[s:s + _UPDATE_BLOCK], a=gathered.T, overwrite_a=1)
+        np.take(T.T, cols, axis=0, out=rows, mode="clip")
+        gathered = rows.T
+        y = row_nz[s:s + _UPDATE_BLOCK]
+        for t in range(0, cols.size, width):
+            # An F-contiguous view of whole columns: dger writes into it.
+            dger(-1.0, col, y[t:t + width], a=gathered[:, t:t + width], overwrite_a=1)
+        T[:, cols] = gathered
 
 
 def _simplex(dense: _Dense, lo, hi, cost, opts: SolverOptions, force_bland=False):

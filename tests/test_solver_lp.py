@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemv, dger
 
 from ctplan import (EQ, GE, LE, LinearConstraint, LpProblem, LpStatus,
                     ProblemError, SolverOptions, build_collision_free, solve_lp)
-from ctplan.solver import _UPDATE_BLOCK, _rank1_update
+from ctplan.solver import (_SERIAL_CELLS, _UPDATE_BLOCK, _matvec_t, _rank1_update,
+                           _serial_width)
 
 INF = math.inf
 
@@ -155,9 +156,11 @@ def test_paper_probe_pivot_counts(paper_config, tau, status, pivots):
     assert (sol.status, sol.iterations) == (status, pivots)
 
 
-def test_blocked_sparse_update_matches_full_dger():
+@pytest.mark.parametrize("m", [40, 300])
+def test_blocked_sparse_update_matches_full_dger(m):
+    # At 300 rows each gathered block takes several serial dger calls.
     rng = np.random.default_rng(5)
-    m, w = 40, 5 * _UPDATE_BLOCK
+    w = 5 * _UPDATE_BLOCK
     T = np.asfortranarray(rng.standard_normal((m, w)))
     col = rng.standard_normal(m)
     nz = np.sort(rng.choice(w, size=2 * _UPDATE_BLOCK + 7, replace=False))
@@ -167,3 +170,17 @@ def test_blocked_sparse_update_matches_full_dger():
     _rank1_update(T, col, row[nz], nz, np.empty((_UPDATE_BLOCK, m)))
     assert T.flags.f_contiguous
     assert np.array_equal(T.view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("m, w", [(40, 301), (90, 1003), (816, 1037)])
+def test_blocked_matvec_matches_one_serial_dgemv(m, w):
+    # Each call stays within OpenBLAS's single-thread limit, and the blocks
+    # do not change the rounding of a serial call.
+    rng = np.random.default_rng(6)
+    M = np.asfortranarray(rng.standard_normal((m, w)) * (rng.random((m, w)) < 0.2))
+    v = rng.standard_normal(m)
+    assert _serial_width(m) % 4 == 0
+    assert m * _serial_width(m) <= _SERIAL_CELLS
+    blocked = _matvec_t(M, v)
+    one_by_one = np.concatenate([dgemv(1.0, M[:, s:s + 4], v, trans=1) for s in range(0, w, 4)])
+    assert np.array_equal(blocked.view(np.uint64), one_by_one.view(np.uint64))
