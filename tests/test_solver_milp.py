@@ -2,13 +2,18 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctplan import (EQ, GE, LE, LinearConstraint, LpProblem, LpStatus,
                     MilpProblem, MilpStatus, ProblemError, SolverOptions,
-                    find_integer_feasible, solve_lp, solve_milp)
+                    build_collision_tolerant, find_integer_feasible, solve_lp,
+                    solve_milp)
+from ctplan.planner import _contact_objective
+from ctplan.solver import (_Dense, _pairwise_sum, _propagation_rows, _tighten,
+                           _var_to_rows)
 
 INF = math.inf
 
@@ -176,3 +181,176 @@ def test_find_integer_feasible_modes():
     base2 = lp(2, [0.0, 0.0], [([(0, 1.0), (1, 1.0)], EQ, 1.5)], [(0, 1), (0, 1)])
     sol2 = find_integer_feasible(MilpProblem.build(base2, [0, 1]))
     assert sol2.values is None and sol2.status == MilpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("tau, found, nodes, iterations", [
+    (47, True, 62, 9022), (46, False, 151, 19469)])
+def test_paper_probe_node_counts(paper_config, tau, found, nodes, iterations):
+    # The tolerant plan's probes, built as the planner builds them: a witness
+    # at 47 steps and an infeasibility proof at 46.  Node and pivot counts
+    # are deterministic, so drift in tightening or branching shows here.
+    problem, lay = build_collision_tolerant(paper_config, tau)
+    probe = MilpProblem(
+        problem.base.with_objective(_contact_objective(problem.base.num_vars, lay)),
+        problem.binary_vars)
+    sol = find_integer_feasible(probe)
+    assert (sol.nodes_explored, sol.iterations) == (nodes, iterations)
+    if found:
+        assert sol.values is not None
+    else:
+        assert sol.values is None and sol.status == MilpStatus.INFEASIBLE
+
+
+def test_pairwise_sum_matches_numpy():
+    # Every length up to 300 takes numpy's sequential (< 8), unrolled
+    # (<= 128) and recursive paths.  Only the sign of a zero total may differ.
+    rng = np.random.default_rng(41)
+    for n in range(301):
+        v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+        assert _pairwise_sum(v.tolist()) == np.add.reduce(v)
+
+
+# The array implementation of interval tightening, one numpy expression per
+# row: the reference that the list implementation must match bit for bit.
+
+def _reference_propagation_rows(dense):
+    out = []
+    for i in range(dense.m):
+        idx = np.flatnonzero(dense.A[i])
+        if idx.size == 0:
+            continue
+        coef = dense.A[i, idx]
+        if dense.sense[i] in (0, 1):
+            out.append((idx, coef, dense.rhs[i]))
+        if dense.sense[i] in (1, 2):
+            out.append((idx, -coef, -dense.rhs[i]))
+    return out
+
+
+def _reference_var_to_rows(prop_rows, n):
+    table = [[] for _ in range(n)]
+    for r, (idx, _, _) in enumerate(prop_rows):
+        for j in idx:
+            table[j].append(r)
+    return [np.asarray(rows, dtype=np.intp) for rows in table]
+
+
+def _reference_tighten(prop_rows, var_rows, lo, hi, bins, feas_tol, max_rounds=8,
+                       seed_wlo=None, seed_whi=None, active0=None):
+    wlo = lo.copy() if seed_wlo is None else np.maximum(seed_wlo, lo)
+    whi = hi.copy() if seed_whi is None else np.minimum(seed_whi, hi)
+    active = range(len(prop_rows)) if active0 is None else active0
+    forward = True
+    for _ in range(max_rounds):
+        dirty_vars = set()
+        order = sorted(active, reverse=not forward)
+        for r in order:
+            idx, coef, ub = prop_rows[r]
+            l = wlo[idx]
+            h = whi[idx]
+            term_min = np.where(coef > 0, coef * l, coef * h)
+            finite = np.isfinite(term_min)
+            n_inf = int(finite.size - finite.sum())
+            act_min = term_min[finite].sum() if n_inf else term_min.sum()
+            if n_inf == 0 and act_min > ub + feas_tol * (1.0 + abs(ub)):
+                return False, wlo, whi
+            if n_inf > 1:
+                continue
+            slack_margin = 1e-9 * (1.0 + abs(ub))
+            for k in range(idx.size):
+                if n_inf == 1 and finite[k]:
+                    continue
+                rest = act_min - (term_min[k] if finite[k] else 0.0)
+                room = ub - rest + slack_margin
+                j = idx[k]
+                if coef[k] > 0:
+                    new_hi = room / coef[k]
+                    cur = whi[j]
+                    if new_hi < cur and (math.isinf(cur)
+                                         or cur - new_hi > 1e-12 + 1e-9 * abs(cur)):
+                        whi[j] = new_hi
+                        dirty_vars.add(j)
+                else:
+                    new_lo = room / coef[k]
+                    cur = wlo[j]
+                    if new_lo > cur and (math.isinf(cur)
+                                         or new_lo - cur > 1e-12 + 1e-9 * abs(cur)):
+                        wlo[j] = new_lo
+                        dirty_vars.add(j)
+        if not dirty_vars:
+            break
+        touched = set()
+        for j in dirty_vars:
+            touched.update(var_rows[j].tolist())
+        active = touched
+        forward = not forward
+    for b in bins:
+        if whi[b] < wlo[b] - 1e-9:
+            return False, wlo, whi
+        if whi[b] < 0.5 and hi[b] > 0.0:
+            if lo[b] > 0.5:
+                return False, wlo, whi
+            hi[b] = 0.0
+        if wlo[b] > 0.5 and lo[b] < 1.0:
+            if hi[b] < 0.5:
+                return False, wlo, whi
+            lo[b] = 1.0
+    return True, wlo, whi
+
+
+def _assert_tightening_matches_reference(problem: MilpProblem):
+    """The root call, then node calls with each binary fixed to 0 and to 1,
+    made as branch and bound makes them; returns the calls compared."""
+    dense = _Dense(problem.base)
+    bins = np.asarray(problem.binary_vars, dtype=np.intp)
+    feas_tol = SolverOptions().feas_tol
+    rows = _propagation_rows(dense)
+    var_rows = _var_to_rows(rows, dense.n)
+    ref_rows = _reference_propagation_rows(dense)
+    ref_var_rows = _reference_var_to_rows(ref_rows, dense.n)
+
+    def both(lo, hi, **seed):
+        ref_lo, ref_hi = lo.copy(), hi.copy()
+        got = _tighten(rows, var_rows, lo, hi, bins, feas_tol, **seed)
+        want = _reference_tighten(ref_rows, ref_var_rows, ref_lo, ref_hi, bins,
+                                  feas_tol, **seed)
+        assert got[0] == want[0]
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        return got
+
+    root_lo, root_hi = dense.lo.copy(), dense.hi.copy()
+    root_ok, root_wlo, root_whi = both(root_lo, root_hi)
+    calls = 1
+    if not root_ok:
+        return calls
+    for j in bins.tolist():
+        for value in (0.0, 1.0):
+            lo, hi = root_lo.copy(), root_hi.copy()
+            lo[j] = hi[j] = value
+            both(lo, hi, seed_wlo=root_wlo, seed_whi=root_whi, active0=set(var_rows[j]))
+            calls += 1
+    return calls
+
+
+def test_tightening_matches_array_reference_on_random_milps():
+    # Half the instances drop some continuous bounds, so that rows with one
+    # or more unbounded terms occur.
+    rng = np.random.default_rng(211)
+    for k in range(120):
+        problem = random_milp(rng)
+        if k % 2:
+            bounds = list(problem.base.var_bounds)
+            for j in range(len(problem.binary_vars), len(bounds)):
+                lo, hi = bounds[j]
+                bounds[j] = [(-INF, hi), (lo, INF), (-INF, INF), (lo, hi)][int(rng.integers(0, 4))]
+            problem = MilpProblem(replace(problem.base, var_bounds=tuple(bounds)),
+                                  problem.binary_vars)
+        _assert_tightening_matches_reference(problem)
+
+
+@pytest.mark.parametrize("tau", [46, 47])
+def test_tightening_matches_array_reference_on_paper_model(paper_config, tau):
+    problem, _ = build_collision_tolerant(paper_config, tau)
+    calls = _assert_tightening_matches_reference(problem)
+    assert calls == 1 + 2 * len(problem.binary_vars)
