@@ -4,6 +4,10 @@ Subcommands: ``plan`` (one mode, trajectory CSV plus a one-line JSON summary
 on stdout), ``compare`` (all applicable modes, text report), ``sweep`` (goal
 sensitivity CSV), and ``solve-lp`` (debug solver on a plain-text LP dump).
 
+The horizon search bisects, or scans horizons one by one when the
+scenario's terminal velocity is nonzero (``v_final != 0``); no flag selects
+between the two.
+
 Exit codes: 0 success, 2 invalid configuration or file, 3 infeasible or
 horizon exhausted, 4 node limit.  Numeric file output uses fixed-point
 formatting at nine significant digits, so identical inputs produce
@@ -17,7 +21,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -30,12 +34,11 @@ from .planner import (TrajectoryPlan, compare_report, damage_constrained_search,
 from .solver import (LpStatus, MilpProblem, MilpStatus, SolverOptions,
                      solve_lp, solve_milp)
 
+#: Every ``PlanningConfig`` field, parsed as int when typed int or
+#: Optional[int] and as float otherwise.
 _CONFIG_KEYS = {
-    "x_init": float, "v_init": float, "a_init": float,
-    "x_g": float, "v_final": float, "a_final": float,
-    "x_w": float, "dt": float, "a_max": float, "a_min": float,
-    "v_max": float, "restitution": float,
-    "d_max": float, "d_total_max": float, "max_contact_steps": int,
+    name: int if hint in (int, Optional[int]) else float
+    for name, hint in get_type_hints(PlanningConfig).items()
 }
 _RUN_KEYS = {
     "mode": str, "tau_max": int,
@@ -164,15 +167,15 @@ def _apply_overrides(config: PlanningConfig, args) -> PlanningConfig:
     return config
 
 
-def _run_one(mode: str, config: PlanningConfig, tau_max, linear_scan) -> TrajectoryPlan:
+def _run_one(mode: str, config: PlanningConfig, tau_max) -> TrajectoryPlan:
     if mode == "damage":
         if config.d_max is None:
             raise ConfigError("damage mode requires d_max (set it in the scenario "
                               "file or pass --dmax)")
-        return damage_constrained_search(config, tau_max, linear_scan=linear_scan)
+        return damage_constrained_search(config, tau_max)
     run_config = dataclasses.replace(config, d_max=None, d_total_max=None) \
         if mode in ("free", "tolerant") else config
-    return min_time_search(run_config, _MODES[mode], tau_max, linear_scan=linear_scan)
+    return min_time_search(run_config, _MODES[mode], tau_max)
 
 
 def _summary(plan: TrajectoryPlan, mode: str, out: str) -> dict:
@@ -192,7 +195,7 @@ def cmd_plan(args) -> int:
     config = _apply_overrides(scenario.config, args)
     mode = _resolved_mode(args, scenario)
     tau_max = args.tau_max if args.tau_max is not None else scenario.tau_max
-    plan = _run_one(mode, config, tau_max, args.linear_scan)
+    plan = _run_one(mode, config, tau_max)
     out = args.out or scenario.out or "trajectory.csv"
     write_trajectory_csv(plan, out)
     record = {"command": "plan"}
@@ -214,7 +217,7 @@ def cmd_compare(args) -> int:
     exit_code = 0
     for mode in variants:
         try:
-            plans[mode] = _run_one(mode, config, tau_max, args.linear_scan)
+            plans[mode] = _run_one(mode, config, tau_max)
         except NodeLimitReached as exc:
             errors[mode] = str(exc)
             exit_code = exit_code or 4
@@ -324,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file path")
         p.add_argument("--tau-max", type=int, dest="tau_max",
                        help="horizon search upper limit [steps]")
-        p.add_argument("--linear-scan", action="store_true",
-                       help="scan horizons one by one instead of bisecting")
 
     p_plan = sub.add_parser("plan", help="solve one planning mode")
     common(p_plan)

@@ -23,9 +23,6 @@ from .solver import LpStatus, SolverOptions, _Dense, _solve_dense
 
 REPLAY_TOL = 1e-6
 
-#: The damage assignment carries a strict-inequality slack of this size.
-STRICT_SLACK = STRICT_MARGIN
-
 _FAMILIES = ("saturation", "wall_indicator", "collision_law", "damage", "boundary")
 
 
@@ -114,7 +111,7 @@ def replay(plan, config: PlanningConfig, tolerance: float = REPLAY_TOL) -> Repla
     for t in range(tau + 1):
         if contact_model and zeta[t] == 1:
             v_prev = v[t - 1] if t >= 1 else v[0]
-            viol["damage"] = max(viol["damage"], abs(dmg[t] + v_prev) - STRICT_SLACK)
+            viol["damage"] = max(viol["damage"], abs(dmg[t] + v_prev) - STRICT_MARGIN)
         else:
             viol["damage"] = max(viol["damage"], abs(dmg[t]))
         if config.d_max is not None:

@@ -3,8 +3,12 @@
 The horizon search probes feasibility at candidate step counts.  Because a
 plan that ends at rest extends to any longer horizon by holding at the goal,
 feasibility is monotone in the horizon, so the search climbs from an
-analytic lower seed and falls back to bisection; the step below the answer
-is always re-verified infeasible.  At the minimal horizon the returned plan
+analytic lower seed and falls back to bisection.  A plan with a nonzero
+terminal velocity cannot hold at the goal, so its search scans every horizon
+upward instead.  The step below the answer is checked as well: above the
+floor that check is a full infeasibility proof, and below it (where the
+floor already certifies infeasibility) it runs on a node budget, and a
+budget hit keeps the floor.  At the minimal horizon the returned plan
 additionally minimizes total actuation effort (sum of |a(t)| through slack
 variables), with a tiny graded secondary pass that makes the tie-break
 deterministic even between equal-effort profiles.
@@ -25,9 +29,9 @@ from .errors import ConfigError, HorizonExhausted, NodeLimitReached, PlannerErro
 from .model import (PlanningConfig, PlanningMode, VariableLayout,
                     build_collision_free, build_collision_tolerant,
                     with_effort_objective)
-from .solver import (GE as GE_SENSE, LE, LinearConstraint, LpProblem,
-                     LpStatus, MilpProblem, MilpStatus, SolverOptions,
-                     find_integer_feasible, solve_lp, solve_milp)
+from .solver import (LE, LinearConstraint, LpProblem, LpStatus, MilpProblem,
+                     MilpStatus, SolverOptions, find_integer_feasible, solve_lp,
+                     solve_milp)
 
 _CLIMB_STEPS = 5
 
@@ -198,24 +202,23 @@ def _plan_from_values(config, lay: VariableLayout, values, mode) -> TrajectoryPl
 
 
 #: Node budget for the redundant infeasibility confirmation one step below
-#: an analytically certified lower bound (see min_time_search).
+#: an analytically certified lower bound (see _search_minimum_tau).
 _CONFIRM_NODE_BUDGET = 320
 
 
 class _Prober:
     """Memoized feasibility probes at fixed horizons."""
 
-    def __init__(self, config, mode, opts, big_m):
+    def __init__(self, config, mode, big_m):
         self.config = config
         self.mode = mode
-        self.opts = opts
         self.big_m = big_m
         self.memo: dict[int, bool] = {}
         self.witness: dict[int, np.ndarray] = {}
 
     def feasible(self, tau: int) -> bool:
         if tau not in self.memo:
-            verdict = self._probe(tau, self.opts)
+            verdict = self._probe(tau, SolverOptions())
             if verdict is None:
                 raise NodeLimitReached(
                     f"node limit hit while probing horizon {tau} without a verdict")
@@ -226,9 +229,7 @@ class _Prober:
         """True/False on a verdict, None when the node budget ran out first."""
         if tau in self.memo:
             return self.memo[tau]
-        opts = replace(self.opts, node_limit=min(self.opts.node_limit,
-                                                 _CONFIRM_NODE_BUDGET))
-        verdict = self._probe(tau, opts)
+        verdict = self._probe(tau, SolverOptions(node_limit=_CONFIRM_NODE_BUDGET))
         if verdict is not None:
             self.memo[tau] = verdict
         return verdict
@@ -254,43 +255,28 @@ class _Prober:
         return sol.values is not None
 
 
-def _search_minimum_tau(prober: _Prober, tau_lb: int, tau_upper: int,
-                        linear_scan: bool) -> int:
-    if tau_upper < tau_lb:
-        raise HorizonExhausted(
-            f"no feasible horizon at or below {tau_upper} steps", tau_upper=tau_upper)
-    found = None
-    if linear_scan:
-        for tau in range(tau_lb, tau_upper + 1):
-            if prober.feasible(tau):
-                found = tau
-                break
-        if found is None:
+def _search_minimum_tau(prober: _Prober, tau_lb: int, tau_upper: int, scan: bool) -> int:
+    """Smallest feasible horizon in [tau_lb, tau_upper]: climb, then bisect.
+
+    A scan is a climb with no cap, for searches where feasibility need not be
+    monotone in the horizon.
+    """
+    climb_end = tau_upper if scan else min(tau_lb + _CLIMB_STEPS - 1, tau_upper)
+    for found in range(tau_lb, climb_end + 1):
+        if prober.feasible(found):
+            break
+    else:
+        lo, hi = climb_end + 1, tau_upper
+        if lo > hi or not prober.feasible(hi):
             raise HorizonExhausted(
                 f"no feasible horizon at or below {tau_upper} steps", tau_upper=tau_upper)
-    else:
-        for tau in range(tau_lb, min(tau_lb + _CLIMB_STEPS, tau_upper + 1)):
-            if prober.feasible(tau):
-                found = tau
-                break
-        if found is None:
-            lo = tau_lb + _CLIMB_STEPS
-            if lo > tau_upper:
-                raise HorizonExhausted(
-                    f"no feasible horizon at or below {tau_upper} steps",
-                    tau_upper=tau_upper)
-            if not prober.feasible(tau_upper):
-                raise HorizonExhausted(
-                    f"no feasible horizon at or below {tau_upper} steps",
-                    tau_upper=tau_upper)
-            hi = tau_upper
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if prober.feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            found = lo
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if prober.feasible(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        found = lo
     # Confirm minimality; descend if the analytic seed ever proved optimistic.
     # Below the analytic floor the step is already certified infeasible, so
     # the redundant solver confirmation runs on a node budget; a budget hit
@@ -308,8 +294,7 @@ def _search_minimum_tau(prober: _Prober, tau_lb: int, tau_upper: int,
     return found
 
 
-def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern,
-                      z_star: float, opts: SolverOptions):
+def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern, z_star: float):
     """Pick a unique vertex among equal-effort optima via graded weights."""
     tau = lay.tau
     n0 = lay.num_vars
@@ -325,7 +310,7 @@ def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern,
     for t in range(tau + 1):
         objective[s_idx[t]] = 1.0 + 1e-6 * (t + 1) / (tau + 1)
     graded = LpProblem.build(effort_lp.num_vars, objective, rows, bounds)
-    sol = solve_lp(graded, opts)
+    sol = solve_lp(graded)
     return sol.values if sol.status == LpStatus.OPTIMAL else None
 
 
@@ -336,47 +321,40 @@ def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern,
 _EXACT_EFFORT_MAX_BINARIES = 14
 
 
-def _pattern_effort(effort_base, lay, pattern, opts):
+def _pattern_effort(effort_base, lay, pattern):
     bounds = list(effort_base.var_bounds)
     for t in range(lay.tau + 1):
         bounds[lay.zeta(t)] = (float(pattern[t]), float(pattern[t]))
     fixed = LpProblem.build(effort_base.num_vars, effort_base.objective,
                             effort_base.constraints, bounds)
-    return solve_lp(fixed, opts)
+    return solve_lp(fixed)
 
 
-def _effort_solve(config, mode, tau, opts, big_m, witness=None) -> TrajectoryPlan:
+def _effort_solve(config, mode, tau, big_m, witness) -> TrajectoryPlan:
     """Deterministic minimum-effort plan at this horizon.
 
-    On short horizons the tie-break minimizes total |a| over every feasible
-    solution exactly; on long ones it minimizes within the probe's contact
-    pattern (minimal time and feasibility are unaffected).
+    ``witness`` is the feasibility probe's solution at ``tau``.  On short
+    horizons the tie-break minimizes total |a| over every feasible solution
+    exactly; on long ones it minimizes within the witness's contact pattern
+    (minimal time and feasibility are unaffected).
     """
     if mode == PlanningMode.COLLISION_FREE:
         problem, lay = build_collision_free(config, tau)
         effort = with_effort_objective(problem, lay)
-        sol = solve_lp(effort, opts)
+        sol = solve_lp(effort)
         if sol.status != LpStatus.OPTIMAL:
             raise PlannerError(f"effort solve failed at horizon {tau}: {sol.status}")
-        values = _tie_break_values(effort, lay, None, sol.objective, opts)
+        values = _tie_break_values(effort, lay, None, sol.objective)
         return _plan_from_values(config, lay, values if values is not None else sol.values, mode)
 
     problem, lay = build_collision_tolerant(config, tau, big_m=big_m)
     effort_base = with_effort_objective(problem.base, lay)
-
-    if witness is None:
-        probe = find_integer_feasible(
-            MilpProblem(problem.base.with_objective(
-                _contact_objective(problem.base.num_vars, lay)), problem.binary_vars), opts)
-        if probe.values is None:
-            raise PlannerError(f"horizon {tau} is not feasible")
-        witness = probe.values
     pattern = tuple(int(round(witness[lay.zeta(t)])) for t in range(tau + 1))
 
     if len(problem.binary_vars) <= _EXACT_EFFORT_MAX_BINARIES:
         s_block = np.abs([witness[lay.a(t)] for t in range(tau + 1)])
         seed = (np.concatenate([witness, s_block]), float(s_block.sum()))
-        sol = solve_milp(MilpProblem(effort_base, problem.binary_vars), opts,
+        sol = solve_milp(MilpProblem(effort_base, problem.binary_vars),
                          initial_incumbent=seed)
         if sol.status == MilpStatus.NODE_LIMIT:
             raise NodeLimitReached(
@@ -386,14 +364,14 @@ def _effort_solve(config, mode, tau, opts, big_m, witness=None) -> TrajectoryPla
         pattern = tuple(int(round(sol.values[lay.zeta(t)])) for t in range(tau + 1))
         best_obj = sol.objective
     else:
-        fixed = _pattern_effort(effort_base, lay, pattern, opts)
+        fixed = _pattern_effort(effort_base, lay, pattern)
         if fixed.status != LpStatus.OPTIMAL:
             raise PlannerError(f"effort solve failed at horizon {tau}: {fixed.status}")
         best_obj = fixed.objective
 
-    values = _tie_break_values(effort_base, lay, pattern, best_obj, opts)
+    values = _tie_break_values(effort_base, lay, pattern, best_obj)
     if values is None:
-        values = _pattern_effort(effort_base, lay, pattern, opts).values
+        values = _pattern_effort(effort_base, lay, pattern).values
     return _plan_from_values(config, lay, values, mode)
 
 
@@ -428,8 +406,6 @@ def min_time_search(
     mode: PlanningMode,
     tau_upper: Optional[int] = None,
     *,
-    linear_scan: bool = False,
-    opts: Optional[SolverOptions] = None,
     big_m: Optional[float] = None,
 ) -> TrajectoryPlan:
     """Smallest feasible horizon for the mode, with deterministic tie-break.
@@ -440,7 +416,6 @@ def min_time_search(
     out first.
     """
     config.validate()
-    opts = opts or SolverOptions()
     if (config.x_init == config.x_g and config.v_init == config.v_final
             and config.a_init == config.a_final):
         return _trivial_plan(config, mode)
@@ -452,31 +427,23 @@ def min_time_search(
         raise HorizonExhausted("horizon limit below one step", tau_upper=tau_upper)
 
     # Holding at the goal requires ending at rest; without that, feasibility
-    # need not be monotone in the horizon and bisection would be unsound.
-    if config.v_final != 0.0:
-        linear_scan = True
-        tau_lb = 1
-
-    prober = _Prober(config, mode, opts, big_m)
-    tau_star = _search_minimum_tau(prober, tau_lb, tau_upper, linear_scan)
-    return _effort_solve(config, mode, tau_star, opts, big_m,
-                         witness=prober.witness.get(tau_star))
+    # need not be monotone in the horizon and bisection would be unsound, so
+    # the search scans every horizon up from the floor, which is then 1.
+    prober = _Prober(config, mode, big_m)
+    tau_star = _search_minimum_tau(prober, tau_lb, tau_upper, scan=config.v_final != 0.0)
+    return _effort_solve(config, mode, tau_star, big_m, prober.witness[tau_star])
 
 
 def damage_constrained_search(
     config: PlanningConfig,
     tau_upper: Optional[int] = None,
     *,
-    linear_scan: bool = False,
-    opts: Optional[SolverOptions] = None,
     big_m: Optional[float] = None,
 ) -> TrajectoryPlan:
     """Collision-tolerant minimum time with the per-step damage cap active."""
     if config.d_max is None:
         raise ConfigError("damage_constrained_search requires d_max to be set")
-    return min_time_search(
-        config, PlanningMode.COLLISION_TOLERANT, tau_upper,
-        linear_scan=linear_scan, opts=opts, big_m=big_m)
+    return min_time_search(config, PlanningMode.COLLISION_TOLERANT, tau_upper, big_m=big_m)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +456,6 @@ def goal_sweep(
     x_g_end: float,
     dx: float,
     tau_upper: Optional[int] = None,
-    *,
-    opts: Optional[SolverOptions] = None,
 ) -> SweepResult:
     """Collision-tolerant min-time at each goal in [start, end] step dx."""
     if dx <= 0:
@@ -505,8 +470,7 @@ def goal_sweep(
         g = x_g_start + i * dx
         try:
             plan = min_time_search(
-                replace(config, x_g=g), PlanningMode.COLLISION_TOLERANT,
-                tau_upper, opts=opts)
+                replace(config, x_g=g), PlanningMode.COLLISION_TOLERANT, tau_upper)
             points.append(SweepPoint(g, plan.min_time, plan.collided))
         except PlannerError as exc:
             points.append(SweepPoint(g, None, None, error=str(exc)))

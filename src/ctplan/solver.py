@@ -4,15 +4,16 @@ The LP path is a two-phase primal simplex on a dense tableau with general
 variable bounds: every variable may carry a finite lower bound, a finite
 upper bound, both, or neither, and nonbasic variables rest at one of their
 bounds (or at zero when free).  Pivot selection defaults to the
-most-negative reduced cost; after a configurable run of degenerate pivots
-the solver switches to Bland's rule, which guarantees termination.
+most-negative reduced cost; once a run of degenerate pivots exceeds a fixed
+stall threshold (twice the tableau's rows plus columns), the solver switches
+to Bland's rule, which guarantees termination.
 
 All tableau arithmetic (pricing refreshes, row activities and the rank-1
 pivot update) goes through scipy's BLAS, in calls small enough that
 OpenBLAS runs them on the calling thread: a solve wakes no BLAS thread
-pool, and its rounding does not depend on the core count.  A pivot updates
-only the columns where the pivot row is nonzero, in gathered blocks of at
-most ``_UPDATE_BLOCK`` columns.
+pool, and its rounding does not depend on the core count.  Every pivot,
+artificial eviction included, updates only the columns where the pivot row
+is nonzero, in gathered blocks of at most ``_UPDATE_BLOCK`` columns.
 
 The MILP path is depth-first branch and bound over binary variables with
 lazy child relaxations, interval-arithmetic bound tightening at node
@@ -154,7 +155,6 @@ class SolverOptions:
     int_tol: float = 1e-6
     pivot_tol: float = 1e-9
     node_limit: int = 10**6
-    anti_cycling: bool = True
 
     def validate(self) -> None:
         if self.feas_tol <= 0 or self.int_tol <= 0 or self.pivot_tol <= 0:
@@ -270,6 +270,25 @@ def _rank1_update(T, col, row_nz, nz, block):
         T[:, cols] = gathered
 
 
+def _pivot(T, r, q, col, block):
+    """Pivot the tableau on entry (r, q): scale row r to a unit pivot, then
+    eliminate column q from every other row.
+
+    ``col`` (length m) and ``block`` (see ``_rank1_update``) are scratch
+    arrays.  Returns the pivot row's nonzero columns and their new values.
+    """
+    # Only columns where the pivot row is nonzero change; elsewhere the full
+    # update would only flip the sign of zeros.
+    pivot_row = T[r, :]
+    nz = np.flatnonzero(pivot_row)
+    row_nz = pivot_row[nz] / T[r, q]
+    pivot_row[nz] = row_nz
+    np.copyto(col, T[:, q])
+    col[r] = 0.0
+    _rank1_update(T, col, row_nz, nz, block)
+    return nz, row_nz
+
+
 def _simplex(dense: _Dense, lo, hi, cost, opts: SolverOptions, force_bland=False):
     """Two-phase bounded simplex. Returns (status, x, objective, iterations)."""
     m, n = dense.m, dense.n
@@ -353,6 +372,8 @@ def _evict_artificials(T, xB, basis, status, LO, HI, n, m, opts):
     """Pivot zero-valued artificials out of the basis; pin the rest."""
     W = T.shape[1]
     art_start = n + m
+    col = np.empty(m)
+    block = np.empty((_UPDATE_BLOCK, m))
     for r in range(m):
         p = basis[r]
         if p < art_start:
@@ -362,7 +383,14 @@ def _evict_artificials(T, xB, basis, status, LO, HI, n, m, opts):
         row[status[:art_start] == _BASIC] = 0.0
         q = int(np.argmax(row))
         if row[q] > 10 * opts.pivot_tol:
-            _pivot_in_place(T, xB, basis, status, LO, HI, r, q)
+            # A degenerate pivot: the entering variable keeps its value.
+            enter_val = 0.0 if status[q] == _FREE else (
+                HI[q] if status[q] == _AT_UPPER else LO[q])
+            _pivot(T, r, q, col, block)
+            status[p] = _AT_LOWER
+            basis[r] = q
+            status[q] = _BASIC
+            xB[r] = enter_val
         else:
             # Redundant row: the artificial stays basic at zero and must
             # never block a ratio test.
@@ -371,23 +399,6 @@ def _evict_artificials(T, xB, basis, status, LO, HI, n, m, opts):
     LO[nonbasic_art] = 0.0
     HI[nonbasic_art] = 0.0
     status[nonbasic_art] = _AT_LOWER
-
-
-def _pivot_in_place(T, xB, basis, status, LO, HI, r, q):
-    """Degenerate pivot (step length zero) used for artificial eviction."""
-    enter_val = 0.0 if status[q] == _FREE else (HI[q] if status[q] == _AT_UPPER else LO[q])
-    piv = T[r, q]
-    T[r, :] /= piv
-    col = T[:, q].copy()
-    col[r] = 0.0
-    # As in the main pivot, only the pivot row's nonzero columns change; this
-    # also keeps the temporary outer product off the full tableau.
-    nz = np.flatnonzero(T[r, :])
-    T[:, nz] -= np.outer(col, T[r, nz])
-    status[basis[r]] = _AT_LOWER
-    basis[r] = q
-    status[q] = _BASIC
-    xB[r] = enter_val
 
 
 def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
@@ -471,7 +482,7 @@ def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
         iters += 1
         if tstar <= degen_eps:
             degen_run += 1
-            if opts.anti_cycling and degen_run > stall_threshold:
+            if degen_run > stall_threshold:
                 bland = True
                 bland_latch[0] = True
         else:
@@ -499,15 +510,7 @@ def _simplex_phase(T, xB, basis, status, LO, HI, cost, opts, bland_latch):
             direction[leaving] = 1.0 if rising else -1.0
         xB -= tstar * d
 
-        # Only columns where the pivot row is nonzero change; elsewhere the
-        # full update would only flip the sign of zeros.
-        pivot_row = T[r, :]
-        nz = np.flatnonzero(pivot_row)
-        row_nz = pivot_row[nz] / T[r, q]
-        pivot_row[nz] = row_nz
-        np.copyto(col, T[:, q])
-        col[r] = 0.0
-        _rank1_update(T, col, row_nz, nz, block)
+        nz, row_nz = _pivot(T, r, q, col, block)
         zq = z[q]
         z[nz] -= zq * row_nz
         basis[r] = q

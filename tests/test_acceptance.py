@@ -110,8 +110,9 @@ def test_criterion_3_damage_ordering_and_monotonicity(
     strict=True,
     reason="The pinned-zero first input plus grid rounding put the D_max=6 "
            "optimum at 2.50 s, one 0.05 s step past the 2.39±0.10 window; "
-           "the exhaustive solver refutation of 49 steps confirms 2.50 s is "
-           "optimal under this contact encoding.")
+           "the exhaustive solver refutation of 49 steps "
+           "(test_solver_milp.py::test_paper_damage6_refutes_49_steps) "
+           "confirms 2.50 s is optimal under this contact encoding.")
 def test_criterion_3_damage_time_window(damage_runs):
     runs, _ = damage_runs
     d6 = runs[6.0]

@@ -37,6 +37,10 @@ class TestScenarioParsing:
         assert scenario.config.v_init == 0.0
         assert scenario.config.a_final == 0.0
         assert scenario.config.d_max is None
+        capped = parse_scenario(SMALL_SCENARIO + "d_total_max = 2.5\nmax_contact_steps = 3\n")
+        assert capped.config.d_total_max == 2.5
+        assert capped.config.max_contact_steps == 3
+        assert isinstance(capped.config.max_contact_steps, int)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
@@ -53,6 +57,8 @@ class TestScenarioParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ParseError, match="bad value"):
             parse_scenario(SMALL_SCENARIO.replace("1.0", "one", 1))
+        with pytest.raises(ParseError, match="bad value"):
+            parse_scenario(SMALL_SCENARIO + "max_contact_steps = 2.5\n")
 
     def test_run_options(self):
         scenario = parse_scenario(SMALL_SCENARIO + "mode = tolerant\ntau_max = 30\n")

@@ -265,6 +265,24 @@ class TestSwitchedConstraintSoundness:
         assert abs(values[lay.damage_total] - total) <= 1e-6
 
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: contact may be flagged while moving away from "
+               "the wall, and the damage assignment then books a negative "
+               "impact speed (-0.500002 here, contact at step 5 with "
+               "v(4) = +0.3)")
+    def test_damage_is_never_negative(self, small_config):
+        from ctplan import MilpProblem
+        from ctplan.model import STRICT_MARGIN
+        config = dataclasses.replace(small_config, x_init=0.05, x_g=0.3)
+        problem, lay = build_collision_tolerant(config, 12)
+        objective = [0.0] * problem.base.num_vars
+        objective[lay.damage_total] = 1.0
+        sol = solve_milp(MilpProblem(problem.base.with_objective(objective),
+                                     problem.binary_vars))
+        assert sol.status == MilpStatus.OPTIMAL
+        assert sol.objective >= -STRICT_MARGIN
+
 class TestRelaxationOrdering:
     def test_free_feasibility_implies_tolerant(self, small_config, paper_config):
         from ctplan import MilpProblem, find_integer_feasible

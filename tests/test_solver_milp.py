@@ -201,6 +201,20 @@ def test_paper_probe_node_counts(paper_config, tau, found, nodes, iterations):
         assert sol.values is None and sol.status == MilpStatus.INFEASIBLE
 
 
+
+def test_paper_damage6_refutes_49_steps(paper_config):
+    # The proof that the d_max = 6 plan's 50 steps (2.50 s) are minimal: the
+    # planner's probe at 49 steps, run with no node budget, is infeasible.
+    # The planner itself checks 49 steps on a 320-node budget, which ends
+    # without a verdict and keeps the analytic floor.
+    problem, lay = build_collision_tolerant(replace(paper_config, d_max=6.0), 49)
+    probe = MilpProblem(
+        problem.base.with_objective(_contact_objective(problem.base.num_vars, lay)),
+        problem.binary_vars)
+    sol = find_integer_feasible(probe)
+    assert sol.values is None and sol.status == MilpStatus.INFEASIBLE
+    assert (sol.nodes_explored, sol.iterations) == (517, 73348)
+
 def test_pairwise_sum_matches_numpy():
     # Every length up to 300 takes numpy's sequential (< 8), unrolled
     # (<= 128) and recursive paths.  Only the sign of a zero total may differ.
