@@ -83,12 +83,13 @@ class PlanningConfig:
             raise ConfigError(
                 f"goal behind the wall is unsupported (x_g >= x_w), "
                 f"got x_g={self.x_g}, x_w={self.x_w}")
-        if self.d_max is not None and self.d_max < 0:
-            raise ConfigError(f"d_max must be nonnegative, got {self.d_max}")
-        if self.d_total_max is not None and self.d_total_max < 0:
-            raise ConfigError(f"d_total_max must be nonnegative, got {self.d_total_max}")
+        for name in ("d_max", "d_total_max"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
         if self.max_contact_steps is not None and self.max_contact_steps < 0:
-            raise ConfigError(f"max_contact_steps must be nonnegative")
+            raise ConfigError(
+                f"max_contact_steps must be nonnegative, got {self.max_contact_steps}")
 
     def scenario_key(self) -> tuple:
         """Kinematic fingerprint, ignoring damage caps and run options."""

@@ -143,8 +143,9 @@ def _seed_lower_bound_steps(config: PlanningConfig, mode: PlanningMode) -> int:
     initial input cannot move during step 0), the impact transition, and
     the from-rest wall departure; uses the larger acceleration magnitude
     and ignores the speed cap, so it never exceeds the true discrete
-    optimum.  Conservative cases fall back to 1; the search re-verifies
-    infeasibility below whatever it returns.
+    optimum.  Conservative cases fall back to 1.  The search still checks
+    the step below the floor, but only on a node budget (see
+    _search_minimum_tau).
     """
     if config.v_init != 0.0 or config.v_final != 0.0:
         return 1
@@ -277,24 +278,17 @@ def _search_minimum_tau(prober: _Prober, tau_lb: int, tau_upper: int, scan: bool
             else:
                 lo = mid + 1
         found = lo
-    # Confirm minimality; descend if the analytic seed ever proved optimistic.
-    # Below the analytic floor the step is already certified infeasible, so
-    # the redundant solver confirmation runs on a node budget; a budget hit
-    # there keeps the certificate.
-    while found > 1:
-        if found - 1 >= tau_lb:
-            if not prober.feasible(found - 1):
-                break
+    # Above the floor, the step below the answer was already probed
+    # infeasible.  Below it the floor certifies infeasibility, so the
+    # redundant solver check runs on a node budget, and a budget hit keeps
+    # the floor; a feasible verdict there steps the answer down.
+    if found == tau_lb:
+        while found > 1 and prober.feasible_budgeted(found - 1):
             found -= 1
-            continue
-        verdict = prober.feasible_budgeted(found - 1)
-        if verdict is None or verdict is False:
-            break
-        found -= 1
     return found
 
 
-def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern, z_star: float):
+def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, z_star: float):
     """Pick a unique vertex among equal-effort optima via graded weights."""
     tau = lay.tau
     n0 = lay.num_vars
@@ -302,32 +296,29 @@ def _tie_break_values(effort_lp: LpProblem, lay: VariableLayout, pattern, z_star
     tol = 1e-7 * (1.0 + abs(z_star))
     rows = list(effort_lp.constraints)
     rows.append(LinearConstraint.of([(j, 1.0) for j in s_idx], LE, z_star + tol))
-    bounds = list(effort_lp.var_bounds)
-    if pattern is not None:
-        for t in range(tau + 1):
-            bounds[lay.zeta(t)] = (float(pattern[t]), float(pattern[t]))
     objective = [0.0] * effort_lp.num_vars
     for t in range(tau + 1):
         objective[s_idx[t]] = 1.0 + 1e-6 * (t + 1) / (tau + 1)
-    graded = LpProblem.build(effort_lp.num_vars, objective, rows, bounds)
+    graded = LpProblem.build(effort_lp.num_vars, objective, rows, effort_lp.var_bounds)
     sol = solve_lp(graded)
     return sol.values if sol.status == LpStatus.OPTIMAL else None
 
 
-#: Above this many contact flags, the effort tie-break is restricted to the
-#: contact pattern the feasibility probe discovered (an exact effort MILP at
-#: fleet scale spends its whole budget re-refuting patterns the horizon
-#: search already ruled out, since the relaxed objective prunes nothing).
+#: Up to this many contact flags, the effort tie-break minimizes over every
+#: contact pattern with an exact MILP; above it, only within the pattern of
+#: the feasibility probe's witness.  The exact MILP is affordable on small
+#: plans but not on the paper scenario: there it takes about 1,115 nodes at
+#: 47 steps and ends on the witness's pattern anyway.
 _EXACT_EFFORT_MAX_BINARIES = 14
 
 
-def _pattern_effort(effort_base, lay, pattern):
-    bounds = list(effort_base.var_bounds)
+def _with_contact_pattern(effort_lp: LpProblem, lay: VariableLayout, values) -> LpProblem:
+    """``effort_lp`` with each contact flag fixed at its rounded value in ``values``."""
+    bounds = list(effort_lp.var_bounds)
     for t in range(lay.tau + 1):
-        bounds[lay.zeta(t)] = (float(pattern[t]), float(pattern[t]))
-    fixed = LpProblem.build(effort_base.num_vars, effort_base.objective,
-                            effort_base.constraints, bounds)
-    return solve_lp(fixed)
+        flag = float(int(round(values[lay.zeta(t)])))
+        bounds[lay.zeta(t)] = (flag, flag)
+    return replace(effort_lp, var_bounds=tuple(bounds))
 
 
 def _effort_solve(config, mode, tau, big_m, witness) -> TrajectoryPlan:
@@ -336,43 +327,34 @@ def _effort_solve(config, mode, tau, big_m, witness) -> TrajectoryPlan:
     ``witness`` is the feasibility probe's solution at ``tau``.  On short
     horizons the tie-break minimizes total |a| over every feasible solution
     exactly; on long ones it minimizes within the witness's contact pattern
-    (minimal time and feasibility are unaffected).
+    (minimal time and feasibility are unaffected).  The graded tie-break LP
+    then runs with the contact pattern of that minimum fixed.
     """
     if mode == PlanningMode.COLLISION_FREE:
         problem, lay = build_collision_free(config, tau)
-        effort = with_effort_objective(problem, lay)
-        sol = solve_lp(effort)
-        if sol.status != LpStatus.OPTIMAL:
-            raise PlannerError(f"effort solve failed at horizon {tau}: {sol.status}")
-        values = _tie_break_values(effort, lay, None, sol.objective)
-        return _plan_from_values(config, lay, values if values is not None else sol.values, mode)
-
-    problem, lay = build_collision_tolerant(config, tau, big_m=big_m)
-    effort_base = with_effort_objective(problem.base, lay)
-    pattern = tuple(int(round(witness[lay.zeta(t)])) for t in range(tau + 1))
-
-    if len(problem.binary_vars) <= _EXACT_EFFORT_MAX_BINARIES:
-        s_block = np.abs([witness[lay.a(t)] for t in range(tau + 1)])
-        seed = (np.concatenate([witness, s_block]), float(s_block.sum()))
-        sol = solve_milp(MilpProblem(effort_base, problem.binary_vars),
-                         initial_incumbent=seed)
-        if sol.status == MilpStatus.NODE_LIMIT:
-            raise NodeLimitReached(
-                f"node limit hit during the effort solve at horizon {tau}")
-        if sol.status != MilpStatus.OPTIMAL:
-            raise PlannerError(f"effort solve failed at horizon {tau}: {sol.status}")
-        pattern = tuple(int(round(sol.values[lay.zeta(t)])) for t in range(tau + 1))
-        best_obj = sol.objective
+        effort_lp = with_effort_objective(problem, lay)
+        sol = solve_lp(effort_lp)
     else:
-        fixed = _pattern_effort(effort_base, lay, pattern)
-        if fixed.status != LpStatus.OPTIMAL:
-            raise PlannerError(f"effort solve failed at horizon {tau}: {fixed.status}")
-        best_obj = fixed.objective
-
-    values = _tie_break_values(effort_base, lay, pattern, best_obj)
-    if values is None:
-        values = _pattern_effort(effort_base, lay, pattern).values
-    return _plan_from_values(config, lay, values, mode)
+        problem, lay = build_collision_tolerant(config, tau, big_m=big_m)
+        effort_base = with_effort_objective(problem.base, lay)
+        if len(problem.binary_vars) <= _EXACT_EFFORT_MAX_BINARIES:
+            s_block = np.abs([witness[lay.a(t)] for t in range(tau + 1)])
+            seed = (np.concatenate([witness, s_block]), float(s_block.sum()))
+            sol = solve_milp(MilpProblem(effort_base, problem.binary_vars),
+                             initial_incumbent=seed)
+            if sol.status == MilpStatus.NODE_LIMIT:
+                raise NodeLimitReached(
+                    f"node limit hit during the effort solve at horizon {tau}")
+            # A MILP that returns no values fails the status check below.
+            effort_lp = _with_contact_pattern(
+                effort_base, lay, witness if sol.values is None else sol.values)
+        else:
+            effort_lp = _with_contact_pattern(effort_base, lay, witness)
+            sol = solve_lp(effort_lp)
+    if sol.status not in (LpStatus.OPTIMAL, MilpStatus.OPTIMAL):
+        raise PlannerError(f"effort solve failed at horizon {tau}: {sol.status}")
+    values = _tie_break_values(effort_lp, lay, sol.objective)
+    return _plan_from_values(config, lay, sol.values if values is None else values, mode)
 
 
 def _contact_objective(num_vars, lay):

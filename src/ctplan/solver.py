@@ -30,9 +30,8 @@ its own arrays, so independent solves may safely run concurrently.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -539,19 +538,19 @@ def _row_violation(dense: _Dense, x: np.ndarray) -> float:
 
 
 def _solve_dense(dense: _Dense, lo, hi, cost, opts: SolverOptions):
-    status, x, obj, iters = _simplex(dense, lo, hi, cost, opts)
-    if status == LpStatus.OPTIMAL:
-        scale = 1.0 + (np.abs(dense.rhs).max() if dense.m else 0.0)
+    """Simplex, re-run once under Bland's rule if its optimum breaks a row
+    or a bound by more than the feasibility tolerance."""
+    tol = opts.feas_tol * (1.0 + (np.abs(dense.rhs).max() if dense.m else 0.0))
+    iters = 0
+    for force_bland in (False, True):
+        status, x, obj, it = _simplex(dense, lo, hi, cost, opts, force_bland)
+        iters += it
+        if status != LpStatus.OPTIMAL:
+            return status, x, obj, iters
         bound_slip = float(np.maximum(np.maximum(lo - x, x - hi), 0.0).max()) if dense.n else 0.0
-        if _row_violation(dense, x) > opts.feas_tol * scale or bound_slip > opts.feas_tol * scale:
-            status, x, obj, it2 = _simplex(dense, lo, hi, cost, opts, force_bland=True)
-            iters += it2
-            if status == LpStatus.OPTIMAL and (
-                _row_violation(dense, x) > opts.feas_tol * scale
-                or float(np.maximum(np.maximum(lo - x, x - hi), 0.0).max()) > opts.feas_tol * scale
-            ):
-                raise NumericalError("simplex returned an infeasible point twice")
-    return status, x, obj, iters
+        if not (_row_violation(dense, x) > tol or bound_slip > tol):
+            return status, x, obj, iters
+    raise NumericalError("simplex returned an infeasible point twice")
 
 
 def solve_lp(problem: LpProblem, opts: Optional[SolverOptions] = None) -> LpSolution:
@@ -710,13 +709,6 @@ def _tighten(prop_rows, var_rows, lo, hi, bins, feas_tol,
     return result(True)
 
 
-@dataclass(order=True)
-class _Node:
-    sort_key: tuple
-    fixed: dict = field(compare=False)
-    bound: float = field(compare=False)
-
-
 def _branch_and_bound(
     problem: MilpProblem,
     opts: SolverOptions,
@@ -793,18 +785,11 @@ def _branch_and_bound(
             return None
         return x, obj
 
-    # Children are pushed unsolved with the parent bound and only solved at
-    # pop time, so dives do not pay for sibling relaxations they may never
-    # need.  Pop order: deepest first, one branch first, better bound, FIFO.
-    heap: list[_Node] = []
-    seq = 0
-
-    def push(fixed, bound, depth, branch_val):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, _Node((-depth, branch_val, bound, seq), fixed, bound))
-
-    push({}, -_INF, 0, 0)
+    # Open nodes are (fixings, parent bound) on a stack.  Children are pushed
+    # unsolved and only solved when popped, so dives do not pay for sibling
+    # relaxations they may never need.  Each node's zero child goes below
+    # its one child, so the search dives depth first, one branch first.
+    stack = [({}, -_INF)]
     hit_node_limit = False
 
     def cutoff():
@@ -812,22 +797,22 @@ def _branch_and_bound(
             return _INF
         return incumbent_obj - 1e-9 * (1.0 + abs(incumbent_obj))
 
-    while heap:
+    while stack:
         if nodes >= opts.node_limit:
             hit_node_limit = True
             break
-        node = heapq.heappop(heap)
-        if node.bound >= cutoff():
+        fixed, parent_bound = stack.pop()
+        if parent_bound >= cutoff():
             continue
         if bound_trace is not None:
-            open_bounds = [node.bound] + [nd.bound for nd in heap]
+            open_bounds = [parent_bound] + [b for _, b in stack]
             bound_trace.append(min(min(open_bounds), incumbent_obj))
 
-        res = node_lp(node.fixed)
+        res = node_lp(fixed)
         if res is None:
             continue
         vals, obj = res
-        bound = max(obj, node.bound)
+        bound = max(obj, parent_bound)
         if bound >= cutoff():
             continue
 
@@ -857,19 +842,14 @@ def _branch_and_bound(
         else:
             q = int(bins[np.flatnonzero(frac > opts.int_tol)[0]])
 
-        depth = len(node.fixed) + 1
-        for order, branch_val in enumerate((1, 0)):
-            child_fixed = dict(node.fixed)
-            child_fixed[q] = branch_val
-            push(child_fixed, bound, depth, order)
+        for branch_val in (0, 1):
+            stack.append(({**fixed, q: branch_val}, bound))
 
     if incumbent_x is not None:
-        open_bounds = [nd.bound for nd in heap]
+        open_bounds = [b for _, b in stack]
         best_bound = min(open_bounds) if (hit_node_limit and open_bounds) else incumbent_obj
         gap = max(0.0, incumbent_obj - best_bound)
         status = MilpStatus.NODE_LIMIT if hit_node_limit else MilpStatus.OPTIMAL
-        if stop_first and heap and not hit_node_limit:
-            status = MilpStatus.OPTIMAL  # caller asked for any feasible point
         return MilpSolution(status, incumbent_x, incumbent_obj, nodes, gap, total_iters)
     if hit_node_limit:
         return MilpSolution(MilpStatus.NODE_LIMIT, None, None, nodes, _INF, total_iters)

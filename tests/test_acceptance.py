@@ -5,6 +5,7 @@ its verdict line before asserting, so a red criterion still reports itself.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import time
 
@@ -16,6 +17,7 @@ from ctplan import (MilpProblem, MilpStatus, PlanningMode, analytic_min_time,
                     damage_constrained_search, goal_sweep, min_time_search,
                     replay, solve_lp, solve_milp, with_effort_objective,
                     LpStatus)
+from ctplan.cli import write_trajectory_csv
 from conftest import random_box_lp, random_scenario, vertex_enum_optimum
 
 FREE = PlanningMode.COLLISION_FREE
@@ -239,6 +241,30 @@ def test_criterion_7_replay_closure(paper_config, free_run, tolerant_run,
         "criterion 7 (replay closure and indicator soundness)", ok,
         f"{len(plans)} plans replay at 1e-6 (worst violation {worst:.2e}) "
         f"with consistent contact flags and damage bookkeeping")
+
+
+# The paper plans' CSV sha256s listed in bench/README.md.  A change meant to
+# leave every plan the same must leave these bytes the same.
+PAPER_CSV_SHA256 = {
+    "free": "a29641e117dd518ead42e3a5cf1fba1913c5c8ef887a82fd10ce6628852007fa",
+    "tolerant": "e43986aacfd4112b70420bf37869f2f6a1d85a845eabb2ed58a13cd2233b0f9e",
+    "damage6": "fe7564b9ae491d8eda9ca5793650945550374cb6eb62c6db83b9d28b92a5eb73",
+}
+
+
+def test_paper_csv_bytes(tmp_path, free_run, tolerant_run, damage_runs):
+    plans = {"free": free_run[0], "tolerant": tolerant_run[0],
+             "damage6": damage_runs[0][6.0]}
+    digests = {}
+    for label, plan in plans.items():
+        path = tmp_path / f"{label}.csv"
+        write_trajectory_csv(plan, str(path))
+        digests[label] = hashlib.sha256(path.read_bytes()).hexdigest()
+    changed = sorted(k for k in digests if digests[k] != PAPER_CSV_SHA256[k])
+    assert verdict(
+        "paper CSV bytes", not changed,
+        f"free, tolerant and d_max = 6 CSVs hash as in bench/README.md; "
+        f"changed: {changed or 'none'}")
 
 
 def test_criterion_8_big_m_insensitivity(paper_config, tolerant_run):

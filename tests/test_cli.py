@@ -127,9 +127,17 @@ class TestPlanCommand:
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(SMALL_SCENARIO.replace("x_g = 0.05", "x_g = -0.4"))
-        assert main(["plan", "--config", str(bad)]) == 2
-        assert "x_g" in capsys.readouterr().err
+        for scenario, flags, name in [
+            (SMALL_SCENARIO.replace("x_g = 0.05", "x_g = -0.4"), [], "x_g"),
+            (SMALL_SCENARIO + "d_max = nan\n", ["--mode", "damage"], "d_max"),
+            (SMALL_SCENARIO + "d_total_max = inf\n", ["--mode", "damage", "--dmax", "1"],
+             "d_total_max"),
+            (SMALL_SCENARIO, ["--mode", "damage", "--dmax", "nan"], "d_max"),
+            (SMALL_SCENARIO, ["--mode", "damage", "--dmax", "inf"], "d_max"),
+        ]:
+            bad.write_text(scenario)
+            assert main(["plan", "--config", str(bad)] + flags) == 2, (scenario, flags)
+            assert name in capsys.readouterr().err
 
     def test_infeasible_horizon_exit_3(self, scenario_path):
         assert main(["plan", "--config", str(scenario_path), "--mode", "free",

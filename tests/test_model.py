@@ -42,6 +42,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dt"):
             dataclasses.replace(paper_config, dt=0.0).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("d_max", -1.0), ("d_max", math.nan), ("d_max", math.inf),
+        ("d_total_max", -1.0), ("d_total_max", math.nan), ("d_total_max", -math.inf),
+        ("max_contact_steps", -1)])
+    def test_caps_finite_and_nonnegative(self, paper_config, name, value):
+        bad = dataclasses.replace(paper_config, **{name: value})
+        with pytest.raises(ConfigError, match=f"{name} .*got {value}"):
+            bad.validate()
+
 
 class TestLayout:
     def test_collision_free_variable_count(self, paper_config):

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctplan import (ConfigError, HorizonExhausted, PlanningConfig,
+from ctplan import (ConfigError, HorizonExhausted, LpStatus, PlanningConfig,
                     PlanningMode, SweepResult, TrajectoryPlan, analytic_min_time,
-                    compare_report, damage_constrained_search, goal_sweep,
-                    min_time_search, planner, replay, PlannerError)
+                    brute_force_plan, build_collision_free, compare_report,
+                    damage_constrained_search, goal_sweep, min_time_search,
+                    planner, replay, solve_lp, PlannerError)
 from ctplan.planner import _search_minimum_tau
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -84,6 +85,31 @@ class TestMinTimeSearch:
             analytic = analytic_min_time(small_config, mode)
             plan = min_time_search(small_config, mode)
             assert analytic <= plan.min_time + 2 * small_config.dt + 1e-9
+
+    def test_floor_is_infeasible_one_step_below(self):
+        # The analytic floor must never exceed the true optimum, with or
+        # without damage caps: one step below it, exhaustive enumeration of
+        # the contact patterns finds nothing feasible, and neither does the
+        # collision-free LP below the free floor.
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 40:
+            a = float(rng.uniform(2.0, 10.0))
+            config = PlanningConfig(
+                x_init=float(rng.uniform(0.1, 2.0)), v_init=0.0, a_init=0.0,
+                x_g=float(rng.uniform(0.02, 0.6)), v_final=0.0, a_final=0.0,
+                x_w=0.0, dt=float(rng.choice([0.1, 0.2])), a_max=a, a_min=-a,
+                v_max=15.0, restitution=0.0,
+                d_max=float(rng.uniform(0.0, 6.0)) if rng.random() < 0.7 else None,
+                d_total_max=float(rng.uniform(0.0, 8.0)) if rng.random() < 0.5 else None)
+            floor = planner._seed_lower_bound_steps(config, TOL)
+            if not 2 <= floor <= 8:
+                continue
+            checked += 1
+            assert not brute_force_plan(config, floor - 1).feasible, config
+            free_floor = planner._seed_lower_bound_steps(config, FREE)
+            problem, _ = build_collision_free(config, free_floor - 1)
+            assert solve_lp(problem).status == LpStatus.INFEASIBLE, config
 
     def test_horizon_exhausted(self, small_config):
         with pytest.raises(HorizonExhausted):

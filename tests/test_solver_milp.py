@@ -162,6 +162,51 @@ def test_determinism():
         assert np.array_equal(a.values, b.values)
 
 
+# (status, nodes_explored, iterations) of the first 40 random MILPs from seed
+# 404 that solve_milp needs more than one node for, under solve_milp and
+# under find_integer_feasible.  The counts are deterministic, so a change in
+# the order branch and bound visits its nodes shows here.
+_TRAVERSAL_SOLVE_MILP = [
+    ('optimal', 7, 7), ('optimal', 3, 14), ('optimal', 3, 11), ('optimal', 5, 6),
+    ('infeasible', 5, 16), ('optimal', 3, 13), ('optimal', 3, 7), ('optimal', 9, 24),
+    ('optimal', 5, 20), ('optimal', 5, 17), ('optimal', 13, 38), ('optimal', 3, 14),
+    ('optimal', 3, 20), ('optimal', 7, 12), ('optimal', 5, 14), ('optimal', 3, 16),
+    ('optimal', 5, 27), ('optimal', 5, 19), ('optimal', 3, 25), ('optimal', 7, 16),
+    ('optimal', 3, 12), ('optimal', 3, 11), ('optimal', 5, 3), ('optimal', 9, 18),
+    ('optimal', 3, 1), ('optimal', 5, 24), ('optimal', 3, 3), ('optimal', 3, 7),
+    ('optimal', 3, 5), ('optimal', 5, 9), ('optimal', 3, 9), ('optimal', 5, 12),
+    ('optimal', 3, 3), ('optimal', 9, 5), ('optimal', 3, 5), ('infeasible', 5, 9),
+    ('optimal', 3, 4), ('optimal', 5, 12), ('optimal', 7, 8), ('optimal', 7, 12),
+]
+_TRAVERSAL_FIRST_FEASIBLE = [
+    ('optimal', 3, 3), ('optimal', 2, 10), ('optimal', 2, 9), ('optimal', 3, 6),
+    ('infeasible', 5, 16), ('optimal', 2, 13), ('optimal', 2, 7), ('optimal', 5, 18),
+    ('optimal', 5, 20), ('optimal', 3, 17), ('optimal', 4, 15), ('optimal', 2, 10),
+    ('optimal', 2, 13), ('optimal', 4, 8), ('optimal', 2, 8), ('optimal', 2, 9),
+    ('optimal', 3, 17), ('optimal', 4, 19), ('optimal', 2, 16), ('optimal', 3, 9),
+    ('optimal', 2, 8), ('optimal', 2, 8), ('optimal', 3, 3), ('optimal', 2, 7),
+    ('optimal', 2, 1), ('optimal', 3, 15), ('optimal', 2, 3), ('optimal', 3, 7),
+    ('optimal', 2, 4), ('optimal', 3, 8), ('optimal', 2, 9), ('optimal', 2, 8),
+    ('optimal', 2, 3), ('optimal', 6, 5), ('optimal', 3, 5), ('infeasible', 5, 9),
+    ('optimal', 3, 4), ('optimal', 4, 12), ('optimal', 7, 8), ('optimal', 4, 6),
+]
+
+
+def test_traversal_is_pinned():
+    rng = np.random.default_rng(404)
+    full, first = [], []
+    while len(full) < len(_TRAVERSAL_SOLVE_MILP):
+        problem = random_milp(rng)
+        sol = solve_milp(problem)
+        if sol.nodes_explored < 2:
+            continue
+        full.append((sol.status.value, sol.nodes_explored, sol.iterations))
+        sol = find_integer_feasible(problem)
+        first.append((sol.status.value, sol.nodes_explored, sol.iterations))
+    assert full == _TRAVERSAL_SOLVE_MILP
+    assert first == _TRAVERSAL_FIRST_FEASIBLE
+
+
 def test_initial_incumbent_is_verified():
     base = lp(2, [-1.0, -1.0], [([(0, 1.0), (1, 1.0)], LE, 1.0)], [(0, 1), (0, 1)])
     problem = MilpProblem.build(base, [0, 1])
